@@ -6,8 +6,7 @@ The scale-out sort the cluster subsystem exists for:
    contiguous shards (one or more pipeline slices per device);
 2. every shard is sorted on its device -- a per-device GPU-ABiSort driver
    bound to that device's stream machines (so op logs and counters stay
-   per device); under the ``vectorized`` tier the driver runs in counting
-   mode (:mod:`repro.exec.stream_tier`) with identical per-device logs;
+   per device);
 3. the :class:`~repro.cluster.scheduler.Scheduler` lays the shards'
    upload/sort/download stages onto the devices' modeled resources,
    overlapping transfers with compute (Section 7 generalised to N devices);
@@ -18,7 +17,11 @@ The scale-out sort the cluster subsystem exists for:
 Because the total order is identical at every step, the output is
 **bit-identical** to a single-device GPU-ABiSort of the whole input, for
 any shard count -- sharding changes only the modeled schedule, never the
-answer.
+answer.  The ``vectorized`` tier exploits exactly that: it forces the
+whole input in one :func:`~repro.exec.stream_tier.sorted_output` pass
+and charges each shard its memoized op log and modeled time (see
+:meth:`ShardedSorter._sort_forced`), skipping steps 2 and 4 while every
+result field stays identical.
 """
 
 from __future__ import annotations
@@ -27,18 +30,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.api import ABiSortConfig, make_sorter
+from repro.core.api import ABiSortConfig
+from repro.core.values import check_unique_ids, contiguous_id_base
 from repro.cluster.device import Device, make_devices
 from repro.cluster.planner import ShardPlan, ShardPlanner
 from repro.cluster.scheduler import ClusterSchedule, PipelineTask, Scheduler
 from repro.errors import SortInputError
 from repro.exec import get_backend, resolve_tier
-from repro.exec.stream_tier import CountingStreamMachine, counting_sort_run
+from repro.exec.stream_tier import (
+    memo_op_log,
+    memo_sort_ms,
+    replay_machine,
+    sorted_output,
+)
 from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem, estimate_gpu_time_ms
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
 
 __all__ = ["ShardedSorter", "ShardedSortResult", "merge_sorted_runs"]
+
+
+def _padded_length(n: int) -> int:
+    """The power-of-two length (at least 2) a shard of ``n`` sorts at."""
+    return 1 << max(1, (n - 1).bit_length())
 
 
 def _pad_shard(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -57,7 +71,7 @@ def _pad_shard(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     a small-id pad sorts before a real row whose key is also +inf.
     """
     n = chunk.shape[0]
-    target = 1 << max(1, (n - 1).bit_length())
+    target = _padded_length(n)
     if target == n:
         return chunk.copy(), None
     pad = np.empty(target - n, dtype=VALUE_DTYPE)
@@ -145,11 +159,11 @@ class ShardedSorter:
         comparison.
     exec_tier:
         Execution tier (see :mod:`repro.exec`); ``None`` uses the process
-        default.  Under ``vectorized`` the per-shard sorts run in counting
-        mode (:mod:`repro.exec.stream_tier`) -- each counting machine is
-        adopted into its device's machine log, so per-device op logs and
-        counters stay identical to a reference run -- and the host-side
-        merge loop runs on numpy.  Bit- and telemetry-identical either way.
+        default.  Under ``vectorized`` one global forcing pass replaces
+        the per-shard sorts and the merge, and each shard's memoized op
+        log is adopted into its device's machine log, so per-device op
+        logs and counters stay identical to a reference run.  Bit- and
+        telemetry-identical either way.
     """
 
     def __init__(
@@ -175,22 +189,6 @@ class ShardedSorter:
         self.host = host
         self.exec_tier = exec_tier
         self._sorters = {d.index: d.make_sorter(self.config) for d in devices}
-        # Counting-mode twins for the vectorized tier.  Their machines are
-        # free-standing (not auto-registered with a device) so a fallback
-        # run leaves no trace; successful counting machines are adopted
-        # into device.machines by sort() to keep per-device logs complete.
-        self._counting_sorters = {
-            d.index: make_sorter(
-                self.config,
-                machine_factory=lambda distinct_io: CountingStreamMachine(
-                    distinct_io=distinct_io
-                ),
-            )
-            for d in devices
-        }
-        # Shared across devices: op logs depend only on (config, n), and
-        # the cluster is homogeneous in configuration.
-        self._oplog_memo: dict = {}
 
     def sort(self, values: np.ndarray) -> ShardedSortResult:
         """Sort a ``VALUE_DTYPE`` array of any length across the cluster."""
@@ -213,66 +211,28 @@ class ShardedSorter:
                 # has one shard) so reports can index shard_sort_ms safely.
                 shard_sort_ms=[0.0] * len(plan.shards),
             )
+        if resolve_tier(self.exec_tier) == "vectorized":
+            result = self._sort_forced(values, plan)
+            if result is not None:
+                return result
+        return self._sort_shards(values, plan)
 
-        runs: list[np.ndarray] = []
-        tasks: list[PipelineTask] = []
-        shard_sort_ms: list[float] = []
-        itemsize = values.dtype.itemsize
-        fast = resolve_tier(self.exec_tier) == "vectorized"
-        for shard in plan.shards:
-            chunk = values[shard.start : shard.stop]
-            sort_ms = 0.0
-            if chunk.shape[0] >= 2:
-                padded, pad_ids = _pad_shard(chunk)
-                machine = None
-                if fast:
-                    res = counting_sort_run(
-                        self._counting_sorters[shard.device],
-                        padded,
-                        memo=self._oplog_memo,
-                    )
-                    if res is not None:
-                        sorted_padded, machine = res
-                        # Adopt the counting machine so this device's op
-                        # log and counters match a reference run exactly.
-                        self.devices[shard.device].machines.append(machine)
-                if machine is None:
-                    sorter = self._sorters[shard.device]
-                    sorted_padded = sorter.sort(padded)
-                    machine = sorter.last_machine
-                sorted_chunk = _strip_padding(
-                    sorted_padded, chunk.shape[0], pad_ids
-                )
-                sort_ms = estimate_gpu_time_ms(
-                    machine.ops,
-                    self.devices[shard.device].gpu,
-                    self.mapping,
-                ).total_ms
-            else:
-                sorted_chunk = chunk.copy()
-            runs.append(sorted_chunk)
-            shard_sort_ms.append(sort_ms)
-            nbytes = len(shard) * itemsize
-            tasks.append(
-                PipelineTask(
-                    label=f"shard{shard.index}",
-                    device=shard.device,
-                    upload_bytes=nbytes,
-                    sort_ms=sort_ms,
-                    download_bytes=nbytes,
-                )
-            )
+    def _task(self, shard, sort_ms: float, itemsize: int) -> PipelineTask:
+        nbytes = len(shard) * itemsize
+        return PipelineTask(
+            label=f"shard{shard.index}",
+            device=shard.device,
+            upload_bytes=nbytes,
+            sort_ms=sort_ms,
+            download_bytes=nbytes,
+        )
 
-        if len(runs) > 1:
-            merged, comparisons = merge_sorted_runs(runs, tier=self.exec_tier)
-        else:
-            merged, comparisons = runs[0], 0
+    def _result(self, values, plan, tasks, shard_sort_ms, comparisons):
         merge_ms = comparisons * self.host.cpu_op_ns * 1e-6
-
         scheduler = Scheduler(self.devices, overlap=self.overlap)
         schedule = scheduler.run(tasks, merge_ms=merge_ms)
         return ShardedSortResult(
-            values=merged,
+            values=values,
             plan=plan,
             schedule=schedule,
             devices=self.devices,
@@ -280,3 +240,81 @@ class ShardedSorter:
             merge_comparisons=comparisons,
             merge_modeled_ms=merge_ms,
         )
+
+    def _sort_forced(
+        self, values: np.ndarray, plan: ShardPlan
+    ) -> ShardedSortResult | None:
+        """The vectorized path: one global forcing pass, memoized telemetry.
+
+        Under the strict (key, id) order the merged output of the sorted
+        shards is the one sorted permutation of the whole input, so one
+        :func:`sorted_output` pass produces it.  Each shard contributes
+        only what a reference run would have logged: its memoized op log
+        (adopted into its device's machine list) and modeled sort time,
+        and the merge its closed-form loser-tree comparison count.
+        ``None`` (nothing adopted) sends the caller to the reference path.
+        """
+        if contiguous_id_base(values["id"]) is None:
+            # Each shard's driver rejects repeated ids within the shard;
+            # ids repeated across shards are accepted, as on that path.
+            for shard in plan.shards:
+                check_unique_ids(values[shard.start : shard.stop])
+        out = sorted_output(values)
+        if out is None:
+            return None
+        logs: list[tuple] = []
+        tasks: list[PipelineTask] = []
+        shard_sort_ms: list[float] = []
+        for shard in plan.shards:
+            sort_ms = 0.0
+            if len(shard) >= 2:
+                size = _padded_length(len(shard))
+                device = self.devices[shard.device]
+                log = memo_op_log(self.config, size)
+                if log is None:
+                    return None
+                logs.append((device, log))
+                sort_ms = memo_sort_ms(self.config, size, device.gpu, self.mapping)
+            shard_sort_ms.append(sort_ms)
+            tasks.append(self._task(shard, sort_ms, values.dtype.itemsize))
+        for device, log in logs:
+            device.machines.append(replay_machine(self.config, log))
+        # Late import: repro.analysis reports on this module's results.
+        from repro.analysis.complexity import loser_tree_merge_comparisons
+
+        comparisons = loser_tree_merge_comparisons(
+            values.shape[0], len(plan.shards)  # planned shards are non-empty
+        )
+        return self._result(out, plan, tasks, shard_sort_ms, comparisons)
+
+    def _sort_shards(self, values: np.ndarray, plan: ShardPlan) -> ShardedSortResult:
+        """The reference path: sort every shard on its device, then merge."""
+        runs: list[np.ndarray] = []
+        tasks: list[PipelineTask] = []
+        shard_sort_ms: list[float] = []
+        for shard in plan.shards:
+            chunk = values[shard.start : shard.stop]
+            sort_ms = 0.0
+            if chunk.shape[0] >= 2:
+                padded, pad_ids = _pad_shard(chunk)
+                sorter = self._sorters[shard.device]
+                sorted_padded = sorter.sort(padded)
+                sorted_chunk = _strip_padding(
+                    sorted_padded, chunk.shape[0], pad_ids
+                )
+                sort_ms = estimate_gpu_time_ms(
+                    sorter.last_machine.ops,
+                    self.devices[shard.device].gpu,
+                    self.mapping,
+                ).total_ms
+            else:
+                sorted_chunk = chunk.copy()
+            runs.append(sorted_chunk)
+            shard_sort_ms.append(sort_ms)
+            tasks.append(self._task(shard, sort_ms, values.dtype.itemsize))
+
+        if len(runs) > 1:
+            merged, comparisons = merge_sorted_runs(runs, tier=self.exec_tier)
+        else:
+            merged, comparisons = runs[0], 0
+        return self._result(merged, plan, tasks, shard_sort_ms, comparisons)

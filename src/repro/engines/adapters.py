@@ -59,7 +59,7 @@ from repro.baselines.periodic_balanced import periodic_balanced_stream
 from repro.core.api import ABiSortConfig, make_sorter
 from repro.exec import resolve_request_tier
 from repro.exec.stream_tier import (
-    CountingStreamMachine,
+    counting_machine,
     counting_network_run,
     counting_sort_run,
 )
@@ -133,14 +133,8 @@ class ABiSortEngine(SortEngine):
         self.config = config
         self._sorter = make_sorter(config)
         self._counting_sorter = make_sorter(
-            config,
-            machine_factory=lambda distinct_io: CountingStreamMachine(
-                distinct_io=distinct_io
-            ),
+            config, machine_factory=counting_machine
         )
-        # Op logs are pure functions of (config, n): repeat lengths replay
-        # cached records instead of re-driving the counting sorter.
-        self._oplog_memo: dict = {}
 
     def _run(self, values, request):
         from repro.workloads.records import pad_to_power_of_two
@@ -152,8 +146,10 @@ class ABiSortEngine(SortEngine):
             padded, orig = values, n
         out = machine = None
         if resolve_request_tier(request) == "vectorized":
+            # Op logs are pure functions of (config, n): repeat lengths
+            # replay the process-wide memo instead of re-driving.
             fast = counting_sort_run(
-                self._counting_sorter, padded, memo=self._oplog_memo
+                self._counting_sorter, padded, config=self.config
             )
             if fast is not None:
                 out, machine = fast

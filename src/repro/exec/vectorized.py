@@ -41,7 +41,7 @@ from repro.stream.stream import VALUE_DTYPE
 
 __all__ = ["composite_keys", "merge_order", "vectorized_merge", "VectorizedBackend"]
 
-_SIGN = np.uint32(0x80000000)
+_SIGN = np.int32(-(1 << 31))  # the sign bit, as int32
 
 #: The fallback executor for inputs the composite order cannot represent.
 _REFERENCE = ReferenceBackend()
@@ -55,17 +55,21 @@ def composite_keys(values: np.ndarray) -> np.ndarray | None:
     ``-0.0 == +0.0``, ids breaking ties).  Returns ``None`` when any key
     is NaN -- such inputs have no total order to preserve.
     """
-    keys = np.ascontiguousarray(values["key"])
+    # -0.0 == +0.0 in the reference order; collapse the two bit patterns
+    # so the id tie-break decides, exactly as the loser tree does.  IEEE
+    # addition does it in the same pass that copies the strided field:
+    # -0.0 + 0.0 is +0.0, and every other key (NaN included) is unchanged.
+    keys = values["key"] + np.float32(0.0)
     if np.isnan(keys).any():
         return None
-    # -0.0 == +0.0 in the reference order; collapse the two bit patterns
-    # so the id tie-break decides, exactly as the loser tree does.
-    keys = np.where(keys == np.float32(0.0), np.float32(0.0), keys)
-    bits = keys.view(np.uint32)
-    negative = (bits & _SIGN) != 0
-    bits = np.where(negative, ~bits, bits | _SIGN)
-    composite = bits.astype(np.uint64) << np.uint64(32)
-    composite |= values["id"].astype(np.uint64)
+    # In place on the int32 view: the arithmetic shift yields all ones for
+    # negatives, so the xor flips every bit of negatives and only the sign
+    # bit of non-negatives.
+    bits = keys.view(np.int32)
+    bits ^= (bits >> 31) | _SIGN
+    composite = bits.view(np.uint32).astype(np.uint64)
+    composite <<= np.uint64(32)
+    composite |= values["id"]
     return composite
 
 

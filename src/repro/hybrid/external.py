@@ -173,10 +173,11 @@ class ExternalSorter:
     exec_tier:
         Execution tier (see :mod:`repro.exec`): ``"reference"`` runs the
         per-element loser-tree merge and sorts every chunk on the stream
-        interpreter; ``"vectorized"`` merges with numpy, sorts chunks in
-        counting mode (:mod:`repro.exec.stream_tier`, batched argsort +
-        closed-form op log), and memoizes the (data-independent) modeled
-        GPU time per chunk shape.  ``None`` uses the process default.
+        interpreter; ``"vectorized"`` merges with numpy, forces each
+        chunk's output with one composite sort, and charges the
+        (data-independent) modeled GPU time per chunk length from the
+        process-wide memo of :mod:`repro.exec.stream_tier`.  ``None``
+        uses the process default.
         Output, disk statistics, and modeled times are identical across
         tiers.
     """
@@ -204,24 +205,6 @@ class ExternalSorter:
         self.mapping = mapping or ZOrderMapping()
         self.merge_buffer = merge_buffer
         self.exec_tier = exec_tier
-        #: Modeled GPU ms per padded chunk length -- valid for this
-        #: instance only (config, gpu, and mapping are fixed per instance,
-        #: and the op log of a sort depends only on its length).
-        self._gpu_ms_memo: dict[int, float] = {}
-        #: Lazily-built counting-mode sorter (vectorized tier only).
-        self._counting_sorter = None
-
-    def _counting(self):
-        if self._counting_sorter is None:
-            from repro.exec.stream_tier import CountingStreamMachine
-
-            self._counting_sorter = make_sorter(
-                self.config,
-                machine_factory=lambda distinct_io: CountingStreamMachine(
-                    distinct_io=distinct_io
-                ),
-            )
-        return self._counting_sorter
 
     def _tier(self) -> str:
         from repro.exec import resolve_tier
@@ -254,7 +237,8 @@ class ExternalSorter:
     ) -> list[str]:
         from repro.workloads.records import pad_to_power_of_two
 
-        from repro.core.values import check_unique_ids, reference_sort
+        from repro.core.values import check_unique_ids
+        from repro.exec.stream_tier import memo_sort_ms, sorted_output
 
         fast = self._tier() == "vectorized"
         run_names: list[str] = []
@@ -264,35 +248,26 @@ class ExternalSorter:
             chunk = disk.read(input_name, offset, self.chunk_size)
             if chunk.shape[0] >= 2:
                 padded, orig = pad_to_power_of_two(chunk)
-                memo_ms = self._gpu_ms_memo.get(padded.shape[0])
-                if fast and memo_ms is not None:
-                    # The op log -- and therefore the modeled time -- of a
-                    # GPU-ABiSort run depends only on its length, so equal
-                    # chunk shapes charge the memoized exact figure; the
-                    # sort itself is the host oracle (unique output under
-                    # the strict total order, hence bit-identical).  The
-                    # uniqueness check mirrors the sorter's own.
-                    check_unique_ids(padded)
-                    sorted_chunk = reference_sort(padded)[:orig]
-                    report.gpu_modeled_ms += memo_ms
-                else:
-                    machine = None
-                    if fast:
-                        from repro.exec.stream_tier import counting_sort_run
-
-                        res = counting_sort_run(self._counting(), padded)
-                        if res is not None:
-                            sorted_full, machine = res
-                    if machine is None:
-                        sorter = make_sorter(self.config)
-                        sorted_full = sorter.sort(padded)
-                        machine = sorter.last_machine
-                    sorted_chunk = sorted_full[:orig]
+                sorted_full = chunk_ms = None
+                if fast:
+                    # The output is forced under the strict total order and
+                    # the modeled time depends only on the padded length
+                    # (memoized process-wide); the uniqueness check mirrors
+                    # the sorter's own.
+                    sorted_full = sorted_output(padded)
+                    if sorted_full is not None:
+                        check_unique_ids(padded)
+                        chunk_ms = memo_sort_ms(
+                            self.config, padded.shape[0], self.gpu, self.mapping
+                        )
+                if chunk_ms is None:
+                    sorter = make_sorter(self.config)
+                    sorted_full = sorter.sort(padded)
                     chunk_ms = estimate_gpu_time_ms(
-                        machine.ops, self.gpu, self.mapping
+                        sorter.last_machine.ops, self.gpu, self.mapping
                     ).total_ms
-                    self._gpu_ms_memo[padded.shape[0]] = chunk_ms
-                    report.gpu_modeled_ms += chunk_ms
+                sorted_chunk = sorted_full[:orig]
+                report.gpu_modeled_ms += chunk_ms
             else:
                 sorted_chunk = chunk
             run = f"{input_name}.run{len(run_names)}"

@@ -216,8 +216,16 @@ async def _serve_fleet(message: dict) -> dict:
     return {"reports": {name: r.to_json() for name, r in reports.items()}}
 
 
-async def _serve_line(service: SortService, message: dict, store=None) -> dict:
+async def _serve_line(service: SortService, message, store=None) -> dict:
     """Serve one parsed request line, returning the response object."""
+    if not isinstance(message, dict):
+        # Valid JSON that is not an object ([1], 5, null, "x"): answer
+        # with one typed error line instead of killing the respond task.
+        return {
+            "id": None,
+            "error": f"request line must be a JSON object, "
+            f"got {type(message).__name__}",
+        }
     tag = message.get("id")
     try:
         if message.get("op") == "ping":
@@ -317,18 +325,17 @@ async def start_server(
                 try:
                     message = json.loads(text)
                 except json.JSONDecodeError as err:
-                    message = None
                     async with write_lock:
                         writer.write(
                             (json.dumps({"error": f"bad JSON: {err}"}) + "\n").encode()
                         )
                         await writer.drain()
-                if message is not None:
-                    # Serve concurrently so one connection's pipelined
-                    # lines can coalesce into a single batch.
-                    task = asyncio.create_task(respond(message))
-                    pending.add(task)
-                    task.add_done_callback(pending.discard)
+                    continue
+                # Serve concurrently so one connection's pipelined lines
+                # can coalesce into a single batch.
+                task = asyncio.create_task(respond(message))
+                pending.add(task)
+                task.add_done_callback(pending.discard)
         finally:
             if pending:
                 await asyncio.gather(*list(pending), return_exceptions=True)

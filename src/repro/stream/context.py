@@ -43,7 +43,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -62,9 +62,14 @@ from repro.stream.kernel import (
 from repro.stream.stream import Stream, Substream
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class StreamOpRecord:
-    """Log entry for one stream operation."""
+    """Log entry for one stream operation.
+
+    Frozen, with tuple block lists: a record is a value, so op logs
+    memoized by the vectorized tier (:mod:`repro.exec.stream_tier`) are
+    shared by reference between machines instead of copied.
+    """
 
     index: int
     kind: str  # "kernel" or "copy"
@@ -78,13 +83,9 @@ class StreamOpRecord:
     gather_bytes: int
     #: (stream name, [(start, stop), ...]) for each output substream; used by
     #: the 2D-mapping/cache analysis to reconstruct block shapes.
-    output_blocks: list[tuple[str, list[tuple[int, int]]]] = field(
-        default_factory=list
-    )
+    output_blocks: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = ()
     #: Same for linear inputs (gathers have no static block structure).
-    input_blocks: list[tuple[str, list[tuple[int, int]]]] = field(
-        default_factory=list
-    )
+    input_blocks: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = ()
     #: Optional label used to group ops into algorithm phases in reports.
     tag: str = ""
 
@@ -124,6 +125,7 @@ class StreamMachine:
         self._streams: dict[str, Stream] = {}
         self._alloc_bytes = 0
         self.peak_alloc_bytes = 0
+        self._logged_blocks: dict = {}
 
     # -- allocation --------------------------------------------------------
 
@@ -274,18 +276,27 @@ class StreamMachine:
             linear_write_bytes=stats.linear_write_bytes,
             gather_elems=stats.gather_elems,
             gather_bytes=stats.gather_bytes,
-            output_blocks=[
-                (port.substream.stream.name, list(port.substream.blocks))
-                for port in out_ports.values()
-            ],
-            input_blocks=[
-                (port.substream.stream.name, list(port.substream.blocks))
-                for port in in_ports.values()
-            ],
+            output_blocks=tuple(
+                self._logged(port.substream) for port in out_ports.values()
+            ),
+            input_blocks=tuple(
+                self._logged(port.substream) for port in in_ports.values()
+            ),
             tag=tag,
         )
         self.ops.append(record)
         return record
+
+    def _logged(self, sub: Substream) -> tuple[str, tuple[tuple[int, int], ...]]:
+        """``(stream name, blocks)`` of ``sub`` for a record, interned.
+
+        Drivers reuse the same substreams op after op (a kernel's output
+        is the next copy's input), so one shared tuple per distinct
+        substream keeps long op logs -- and the memoized ones the
+        vectorized tier retains -- small.
+        """
+        entry = (sub.stream.name, tuple(sub.blocks))
+        return self._logged_blocks.setdefault(entry, entry)
 
     # -- execution hook (see module docstring) -------------------------------
 
@@ -378,8 +389,8 @@ class StreamMachine:
             linear_write_bytes=len(dst) * dst.stream.itemsize,
             gather_elems=0,
             gather_bytes=0,
-            output_blocks=[(dst.stream.name, list(dst.blocks))],
-            input_blocks=[(src.stream.name, list(src.blocks))],
+            output_blocks=(self._logged(dst),),
+            input_blocks=(self._logged(src),),
             tag=tag,
         )
         self.ops.append(record)
@@ -426,8 +437,8 @@ class StreamMachine:
             linear_write_bytes=nbytes,
             gather_elems=0,
             gather_bytes=0,
-            output_blocks=[(dst.stream.name, list(dst.blocks))],
-            input_blocks=[(src.stream.name, list(src.blocks))],
+            output_blocks=(self._logged(dst),),
+            input_blocks=(self._logged(src),),
             tag=tag,
         )
         self.ops.append(record)

@@ -11,6 +11,7 @@ import repro
 from repro.core.values import (
     as_key_id,
     check_unique_ids,
+    contiguous_id_base,
     ids_of,
     keys_of,
     make_values,
@@ -69,6 +70,45 @@ class TestTotalOrder:
         bad = make_values(np.zeros(3, dtype=np.float32), np.array([1, 1, 2]))
         with pytest.raises(SortInputError):
             check_unique_ids(bad)
+
+
+class TestUniqueIds:
+    def test_strided_field_view(self):
+        vals = make_values(np.zeros(8, dtype=np.float32), np.arange(8) // 2)
+        check_unique_ids(vals[::2])  # ids 0, 1, 2, 3: a strided view
+        with pytest.raises(SortInputError, match="ids must be unique"):
+            check_unique_ids(vals[:4])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single(self, n):
+        check_unique_ids(make_values(np.zeros(n, dtype=np.float32)))
+
+    @pytest.mark.parametrize(
+        "ids", [[5, 5, 1, 2, 3], [1, 2, 3, 9, 9], [9, 2, 3, 4, 9]]
+    )
+    def test_duplicates_at_the_ends(self, ids):
+        vals = make_values(np.zeros(5, dtype=np.float32), np.array(ids))
+        with pytest.raises(SortInputError, match="ids must be unique"):
+            check_unique_ids(vals)
+
+
+class TestContiguousIdBase:
+    def test_runs(self):
+        assert contiguous_id_base(np.arange(5, dtype=np.uint32)) == 0
+        assert contiguous_id_base(np.arange(7, 12, dtype=np.uint32)) == 7
+        top = np.arange((1 << 32) - 3, 1 << 32, dtype=np.uint64)
+        assert contiguous_id_base(top.astype(np.uint32)) == (1 << 32) - 3
+
+    def test_non_runs(self):
+        assert contiguous_id_base(np.empty(0, dtype=np.uint32)) is None
+        assert contiguous_id_base(np.uint32([0, 2, 1, 3])) is None
+        assert contiguous_id_base(np.uint32([3, 2, 1, 0])) is None
+        assert contiguous_id_base(np.uint32([0, 1, 1, 3])) is None
+
+    def test_strided_view(self):
+        vals = make_values(np.zeros(6, dtype=np.float32), np.arange(6) * 2)
+        assert contiguous_id_base(vals["id"]) is None
+        assert contiguous_id_base(make_values(np.zeros(6))["id"][2:]) == 2
 
 
 @pytest.mark.slow

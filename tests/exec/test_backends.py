@@ -101,6 +101,22 @@ class TestCompositeOrder:
         values = _values([0.5, np.nan], [0, 1])
         assert composite_keys(values) is None
 
+    def test_matches_the_textbook_bit_transform(self, rng):
+        """Random bit patterns (denormals, infinities, both zeros) give
+        exactly the composite of the plain formula: zeros canonicalized
+        to +0.0, negatives fully flipped, non-negatives sign-flipped."""
+        bits = rng.integers(0, 1 << 32, size=1 << 16, dtype=np.uint64)
+        keys = bits.astype(np.uint32).view(np.float32)
+        keys = np.concatenate(
+            [keys[~np.isnan(keys)], np.float32([0.0, -0.0, np.inf, -np.inf])]
+        )
+        ids = rng.integers(0, 1 << 32, size=keys.shape[0], dtype=np.uint64)
+        values = _values(keys, ids.astype(np.uint32))
+        canon = np.where(keys == 0, np.float32(0.0), keys).view(np.uint32)
+        flipped = np.where(canon >> 31 == 1, ~canon, canon | np.uint32(1 << 31))
+        expected = (flipped.astype(np.uint64) << np.uint64(32)) | ids
+        assert np.array_equal(composite_keys(values), expected)
+
 
 class TestPlannedTier:
     def test_planner_defaults_to_vectorized(self, rng):

@@ -273,3 +273,33 @@ def test_malformed_keys_still_get_a_response():
                 await server.wait_closed()
 
     _run(run())
+
+
+def test_non_object_json_lines_get_one_error_each():
+    """Valid JSON that is not an object gets one typed error line, and
+    the connection keeps serving afterwards."""
+    lines = [b"[1, 2, 3]", b"5", b"null", b'"x"']
+
+    async def run():
+        async with SortService(devices=1, coalesce_window_ms=1.0) as svc:
+            server, port = await _open(svc)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                for line in lines:
+                    writer.write(line + b"\n")
+                    await writer.drain()
+                    resp = json.loads(await reader.readline())
+                    assert resp["id"] is None
+                    assert "must be a JSON object" in resp["error"]
+                # A second response to any line above would be read here
+                # instead of the ping's.
+                writer.write(b'{"op": "ping", "id": "p"}\n')
+                await writer.drain()
+                assert json.loads(await reader.readline()) == {"id": "p", "ok": True}
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+    _run(run())

@@ -78,18 +78,7 @@ class Device:
 
     def counters(self) -> MachineCounters:
         """Aggregate counters over every machine run on this device."""
-        agg = MachineCounters()
-        for machine in self.machines:
-            c = machine.counters()
-            agg.stream_ops += c.stream_ops
-            agg.kernel_ops += c.kernel_ops
-            agg.copy_ops += c.copy_ops
-            agg.instances += c.instances
-            agg.linear_read_bytes += c.linear_read_bytes
-            agg.linear_write_bytes += c.linear_write_bytes
-            agg.gather_elems += c.gather_elems
-            agg.gather_bytes += c.gather_bytes
-        return agg
+        return sum((m.counters() for m in self.machines), MachineCounters())
 
 
 def make_devices(

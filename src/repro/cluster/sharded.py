@@ -43,6 +43,7 @@ from repro.exec.stream_tier import (
     replay_machine,
     sorted_output,
 )
+from repro.stream.context import MachineCounters
 from repro.stream.gpu_model import PCIE_SYSTEM, HostSystem, estimate_gpu_time_ms
 from repro.stream.mapping2d import Mapping2D, ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
@@ -129,6 +130,8 @@ class ShardedSortResult:
     shard_sort_ms: list[float] = field(default_factory=list)
     merge_comparisons: int = 0
     merge_modeled_ms: float = 0.0
+    #: Op-log totals over every device (the sum of ``device.counters()``).
+    counters: MachineCounters = field(default_factory=MachineCounters)
 
     @property
     def makespan_ms(self) -> float:
@@ -227,7 +230,7 @@ class ShardedSorter:
             download_bytes=nbytes,
         )
 
-    def _result(self, values, plan, tasks, shard_sort_ms, comparisons):
+    def _result(self, values, plan, tasks, shard_sort_ms, comparisons, counters):
         merge_ms = comparisons * self.host.cpu_op_ns * 1e-6
         scheduler = Scheduler(self.devices, overlap=self.overlap)
         schedule = scheduler.run(tasks, merge_ms=merge_ms)
@@ -239,6 +242,7 @@ class ShardedSorter:
             shard_sort_ms=shard_sort_ms,
             merge_comparisons=comparisons,
             merge_modeled_ms=merge_ms,
+            counters=counters,
         )
 
     def _sort_forced(
@@ -250,8 +254,9 @@ class ShardedSorter:
         shards is the one sorted permutation of the whole input, so one
         :func:`sorted_output` pass produces it.  Each shard contributes
         only what a reference run would have logged: its memoized op log
-        (adopted into its device's machine list) and modeled sort time,
-        and the merge its closed-form loser-tree comparison count.
+        (adopted into its device's machine list), that log's memoized
+        counters and its modeled sort time, and the merge its closed-form
+        loser-tree comparison count.
         ``None`` (nothing adopted) sends the caller to the reference path.
         """
         if contiguous_id_base(values["id"]) is None:
@@ -285,7 +290,8 @@ class ShardedSorter:
         comparisons = loser_tree_merge_comparisons(
             values.shape[0], len(plan.shards)  # planned shards are non-empty
         )
-        return self._result(out, plan, tasks, shard_sort_ms, comparisons)
+        counters = sum((log.counters for _, log in logs), MachineCounters())
+        return self._result(out, plan, tasks, shard_sort_ms, comparisons, counters)
 
     def _sort_shards(self, values: np.ndarray, plan: ShardPlan) -> ShardedSortResult:
         """The reference path: sort every shard on its device, then merge."""
@@ -317,4 +323,7 @@ class ShardedSorter:
             merged, comparisons = merge_sorted_runs(runs, tier=self.exec_tier)
         else:
             merged, comparisons = runs[0], 0
-        return self._result(merged, plan, tasks, shard_sort_ms, comparisons)
+        counters = sum((d.counters() for d in self.devices), MachineCounters())
+        return self._result(
+            merged, plan, tasks, shard_sort_ms, comparisons, counters
+        )

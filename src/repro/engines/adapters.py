@@ -47,7 +47,7 @@ from repro.engines.base import (
     SortTelemetry,
 )
 from repro.engines.registry import register
-from repro.engines.telemetry import add_machine_counters, fill_schedule_telemetry
+from repro.engines.telemetry import fill_schedule_telemetry, machine_telemetry
 from repro.baselines.bitonic_network import gpusort_stream
 from repro.baselines.cpu_sort import CPUSortCounters, quicksort, std_sort
 from repro.baselines.odd_even_merge import odd_even_merge_stream
@@ -58,14 +58,9 @@ from repro.baselines.odd_even_transition import (
 from repro.baselines.periodic_balanced import periodic_balanced_stream
 from repro.core.api import ABiSortConfig, make_sorter
 from repro.exec import resolve_request_tier
-from repro.exec.stream_tier import (
-    counting_machine,
-    counting_network_run,
-    counting_sort_run,
-)
+from repro.exec.stream_tier import counting_sort_run, memo_sort_ms, replay_machine
 from repro.hybrid.disk import SimulatedDisk
 from repro.hybrid.external import ExternalSorter
-from repro.stream.context import StreamMachine
 from repro.stream.gpu_model import cpu_sort_time_ms, estimate_gpu_time_ms
 from repro.stream.mapping2d import ZOrderMapping
 from repro.stream.stream import VALUE_DTYPE
@@ -81,32 +76,38 @@ __all__ = [
 ]
 
 
-def _machine_telemetry(
-    machine: StreamMachine, request: SortRequest, *, tiled: bool
-) -> SortTelemetry:
-    """Telemetry from a stream machine's op log + the request's cost model."""
-    counters = machine.counters()
-    telemetry = SortTelemetry(
-        stream_ops=counters.stream_ops,
-        kernel_ops=counters.kernel_ops,
-        copy_ops=counters.copy_ops,
-        kernel_instances=counters.instances,
-        bytes_moved=counters.total_bytes,
-        gather_bytes=counters.gather_bytes,
-    )
+def _stream_run(program, values, request: SortRequest, mapping, reference):
+    """Run one stream program; ``(out, telemetry, machine)``.
+
+    Under the ``vectorized`` tier the output comes from the forcing pass
+    and the op log, its counters and its modeled time from the
+    process-wide memos (:func:`repro.exec.stream_tier.counting_sort_run`):
+    a warm length drives and models nothing.  Otherwise -- or when the
+    stream tier declines the input -- ``reference(values)`` interprets
+    the program and its log is counted and modeled here.  ``mapping`` is
+    the 1D->2D mapping reads are charged under; ``None`` selects the
+    GPU's fixed software-tiling efficiency (the network convention).
+    """
+    gpu = request.gpu
+    fast = None
+    if resolve_request_tier(request) == "vectorized":
+        fast = counting_sort_run(program, values)
+    if fast is not None:
+        out, log = fast
+        telemetry = machine_telemetry(log.counters)
+        if request.model_time:
+            telemetry.modeled_gpu_ms = memo_sort_ms(
+                program, values.shape[0], gpu, mapping
+            )
+        return out, telemetry, replay_machine(program, log)
+    out, machine = reference(values)
+    telemetry = machine_telemetry(machine.counters())
     if request.model_time:
-        if tiled:
-            cost = estimate_gpu_time_ms(
-                machine.ops,
-                request.gpu,
-                fixed_read_efficiency=request.gpu.tiled_read_efficiency,
-            )
-        else:
-            cost = estimate_gpu_time_ms(
-                machine.ops, request.gpu, request.mapping or ZOrderMapping()
-            )
-        telemetry.modeled_gpu_ms = cost.total_ms
-    return telemetry
+        tiled = gpu.tiled_read_efficiency if mapping is None else None
+        telemetry.modeled_gpu_ms = estimate_gpu_time_ms(
+            machine.ops, gpu, mapping, fixed_read_efficiency=tiled
+        ).total_ms
+    return out, telemetry, machine
 
 
 class ABiSortEngine(SortEngine):
@@ -118,11 +119,11 @@ class ABiSortEngine(SortEngine):
     streams are fresh).  Non-power-of-two input is padded with +inf keys
     and truncated (Section 4), so ``any_length`` holds.
 
-    Under the ``vectorized`` tier the same driver runs in counting mode
-    (:func:`repro.exec.stream_tier.counting_sort_run`): the op log and
-    counters are produced without executing kernel bodies and one batched
-    argsort forces the output.  Inputs the stream tier cannot cover (NaN
-    keys, duplicate composites) fall back to the reference interpreter.
+    Under the ``vectorized`` tier one forcing pass produces the output
+    and the op log, counters and modeled time come from the process-wide
+    memos (:func:`repro.exec.stream_tier.counting_sort_run`).  Inputs the
+    stream tier cannot cover (NaN keys, duplicate composites) fall back
+    to the reference interpreter.
     """
 
     capabilities = EngineCapabilities(any_length=True, key_value=True, stable=True)
@@ -132,9 +133,9 @@ class ABiSortEngine(SortEngine):
         self.description = description
         self.config = config
         self._sorter = make_sorter(config)
-        self._counting_sorter = make_sorter(
-            config, machine_factory=counting_machine
-        )
+
+    def _reference(self, values):
+        return self._sorter.sort(values), self._sorter.last_machine
 
     def _run(self, values, request):
         from repro.workloads.records import pad_to_power_of_two
@@ -144,20 +145,14 @@ class ABiSortEngine(SortEngine):
             padded, orig = pad_to_power_of_two(values)
         else:
             padded, orig = values, n
-        out = machine = None
-        if resolve_request_tier(request) == "vectorized":
-            # Op logs are pure functions of (config, n): repeat lengths
-            # replay the process-wide memo instead of re-driving.
-            fast = counting_sort_run(
-                self._counting_sorter, padded, config=self.config
-            )
-            if fast is not None:
-                out, machine = fast
-                out = out[:orig]
-        if machine is None:
-            out = self._sorter.sort(padded)[:orig]
-            machine = self._sorter.last_machine
-        return out, _machine_telemetry(machine, request, tiled=False), machine
+        out, telemetry, machine = _stream_run(
+            self.config,
+            padded,
+            request,
+            request.mapping or ZOrderMapping(),
+            self._reference,
+        )
+        return out[:orig], telemetry, machine
 
 
 class ShardedABiSortEngine(SortEngine):
@@ -212,7 +207,8 @@ class ShardedABiSortEngine(SortEngine):
         )
         res = sorter.sort(values)
 
-        telemetry = SortTelemetry(
+        telemetry = machine_telemetry(
+            res.counters,
             cpu_ops=res.merge_comparisons,
             modeled_gpu_ms=sum(res.shard_sort_ms),
             modeled_cpu_ms=res.merge_modeled_ms,
@@ -220,8 +216,6 @@ class ShardedABiSortEngine(SortEngine):
         fill_schedule_telemetry(
             telemetry, res.schedule, devices=res.plan.used_devices
         )
-        for device in devices:
-            add_machine_counters(telemetry, device.counters())
         return res.values, telemetry, None, res
 
 
@@ -231,10 +225,11 @@ class NetworkEngine(SortEngine):
     Power-of-two input only, as for the GPU implementations these stand in
     for; modeled time uses the GPU's fixed software-tiling read efficiency
     (the GPUSort B=64 modeling convention).  Under the ``vectorized`` tier
-    the network program runs in counting mode
-    (:func:`repro.exec.stream_tier.counting_network_run`) with the output
-    forced by one batched argsort; networks are not stable, so inputs with
-    duplicate (key, id) composites stay on the reference interpreter.
+    the output is forced by one batched sort and the op log, counters and
+    modeled time come from the process-wide memos
+    (:func:`repro.exec.stream_tier.counting_sort_run`); networks are not
+    stable, so inputs with duplicate (key, id) composites stay on the
+    reference interpreter.
     """
 
     capabilities = EngineCapabilities(any_length=False, key_value=True, stable=True)
@@ -245,14 +240,9 @@ class NetworkEngine(SortEngine):
         self._stream_sorter = stream_sorter
 
     def _run(self, values, request):
-        out = machine = None
-        if resolve_request_tier(request) == "vectorized":
-            fast = counting_network_run(self._stream_sorter, values)
-            if fast is not None:
-                out, machine = fast
-        if machine is None:
-            out, machine = self._stream_sorter(values)
-        return out, _machine_telemetry(machine, request, tiled=True), machine
+        return _stream_run(
+            self._stream_sorter, values, request, None, self._stream_sorter
+        )
 
 
 class TransitionSortEngine(SortEngine):

@@ -6,7 +6,7 @@ engine adapter (:mod:`repro.engines.adapters`), the sort service
 (:mod:`repro.service`), and the cluster report
 (:mod:`repro.analysis.cluster_report`): batch aggregation over per-request
 results, folding a pipeline schedule's aggregates into a telemetry record,
-accumulating stream-machine counters, and turning a list of completed
+carrying stream-machine counters, and turning a list of completed
 results into the pipeline stage specs / tasks an overlapped
 :class:`~repro.cluster.scheduler.Scheduler` run needs.
 """
@@ -18,7 +18,7 @@ from repro.engines.base import SortResult, SortTelemetry
 __all__ = [
     "aggregate_telemetry",
     "fill_schedule_telemetry",
-    "add_machine_counters",
+    "machine_telemetry",
     "result_stage_specs",
     "pipeline_tasks_for_results",
 ]
@@ -50,15 +50,19 @@ def fill_schedule_telemetry(
     telemetry.pipeline_bubble_ms = schedule.bubble_ms
 
 
-def add_machine_counters(telemetry: SortTelemetry, counters) -> None:
-    """Accumulate one :class:`~repro.stream.context.MachineCounters`
-    record (a stream machine's or a device's op-log totals)."""
-    telemetry.stream_ops += counters.stream_ops
-    telemetry.kernel_ops += counters.kernel_ops
-    telemetry.copy_ops += counters.copy_ops
-    telemetry.kernel_instances += counters.instances
-    telemetry.bytes_moved += counters.total_bytes
-    telemetry.gather_bytes += counters.gather_bytes
+def machine_telemetry(counters, **fields) -> SortTelemetry:
+    """A telemetry record carrying one
+    :class:`~repro.stream.context.MachineCounters` record's op-log totals
+    (a machine's, or several summed), plus any other ``fields``."""
+    return SortTelemetry(
+        stream_ops=counters.stream_ops,
+        kernel_ops=counters.kernel_ops,
+        copy_ops=counters.copy_ops,
+        kernel_instances=counters.instances,
+        bytes_moved=counters.total_bytes,
+        gather_bytes=counters.gather_bytes,
+        **fields,
+    )
 
 
 def result_stage_specs(

@@ -17,15 +17,16 @@ fast-analytical / cycle-accurate split:
     phase an actual machine pass.  The tier for tracing and figures.
 
 ``vectorized``
-    Whole-array numpy execution of the same algorithms: k runs merge as
-    a tournament of ``np.searchsorted`` block merges, run formation
-    memoizes the data-independent modeled GPU time per chunk shape, and
-    whole stream-kernel passes -- the ABiSort bitonic-tree levels,
-    network columns, and layout remaps -- execute as batched array ops
-    through the *stream tier* (:mod:`repro.exec.stream_tier`): the
-    unchanged drivers run on a counting machine that reproduces the op
-    log closed-form while one composite argsort forces the output.  The
-    tier for serving.
+    Whole-array numpy execution of the same algorithms: one forcing
+    pass (:func:`repro.exec.vectorized.forced_order` -- build the
+    composites, sort them, decide strictness) orders both a whole input
+    and the concatenation of k sorted runs, and whole stream-kernel
+    passes -- the ABiSort bitonic-tree levels, network columns, and
+    layout remaps -- execute through the *stream tier*
+    (:mod:`repro.exec.stream_tier`): the unchanged drivers run once per
+    (program, length) on a counting machine that reproduces the op log
+    closed-form, and one op-log memo serves its records, counters and
+    modeled time to every stream engine.  The tier for serving.
 
 **The contract both tiers honor:** output is bit-identical and modeled
 telemetry is identical.  Comparison counts come from the closed form

@@ -20,15 +20,19 @@ pins down:
 
 2.  **The output is forced.**  With unique (key, id) pairs the total order
     is strict, so the sorted permutation is unique: one
-    :func:`~repro.exec.vectorized.composite_keys` reduction plus a single
-    sort (:func:`sorted_output`) -- one batched array pass over the whole
-    input instead of O(log^2 n) interpreted stream operations -- must
-    produce the byte-identical reference output.
+    :func:`~repro.exec.vectorized.forced_order` pass (:func:`sorted_output`)
+    -- one batched array pass over the whole input instead of O(log^2 n)
+    interpreted stream operations -- must produce the byte-identical
+    reference output.
 
-Because a GPU-ABiSort op log depends only on (configuration, length), the
-logs and their modeled times are memoized once per process
-(:func:`memo_op_log`, :func:`memo_sort_ms`) and replayed by sharing the
-frozen :class:`~repro.stream.context.StreamOpRecord` objects.
+Because a stream program's op log depends only on (program, length),
+where a program is an :class:`~repro.core.api.ABiSortConfig` or a network
+stream function, the logs -- with their counter totals -- and their
+modeled times are memoized once per process (:func:`memo_op_log`,
+:func:`memo_sort_ms`) and replayed by sharing the frozen
+:class:`~repro.stream.context.StreamOpRecord` objects.
+:func:`counting_sort_run` is the one entry point that combines the
+forced output with the memoized log.
 
 The closed forms are *proved equal to the interpreter*, not re-modeled:
 linear reads/writes follow exactly the per-port charging of
@@ -52,21 +56,21 @@ real thing):
 * gather tracing (``trace_gathers``): traces are data-dependent by
   definition;
 * any kernel name without an entry in :data:`KERNEL_GATHER_PROFILE`
-  (raises :class:`StreamTierUnsupported`, which the wrappers translate
-  into a reference re-run).
+  (raises :class:`StreamTierUnsupported`, which :func:`memo_op_log`
+  translates into a reference re-run).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
 from repro.core.api import ABiSortConfig, make_sorter
 from repro.core.values import check_unique_ids, contiguous_id_base, make_values
-from repro.exec.vectorized import composite_keys
-from repro.stream.context import StreamMachine, StreamOpRecord
+from repro.exec.vectorized import forced_order
+from repro.stream.context import MachineCounters, StreamMachine, StreamOpRecord
 from repro.stream.gpu_model import GPUModel, estimate_gpu_time_ms
 from repro.stream.kernel import (
     KernelBody,
@@ -84,22 +88,22 @@ __all__ = [
     "CountingStreamMachine",
     "counting_machine",
     "sorted_output",
+    "OpLog",
     "memo_op_log",
     "memo_sort_ms",
     "replay_machine",
     "counting_sort_run",
-    "counting_network_run",
 ]
 
 
 class StreamTierUnsupported(Exception):
     """Internal signal: this launch has no closed-form profile.
 
-    Raised by :class:`CountingStreamMachine` mid-drive; the tier wrappers
-    catch it and re-run the whole sort on the reference interpreter (the
-    counting drive has no caller-visible side effects, so a wholesale
-    restart is safe where a per-op fallback would not be -- stream
-    contents are never materialised in counting mode).
+    Raised by :class:`CountingStreamMachine` mid-drive; :func:`memo_op_log`
+    catches it and its callers re-run the whole sort on the reference
+    interpreter (the counting drive has no caller-visible side effects,
+    so a wholesale restart is safe where a per-op fallback would not be
+    -- stream contents are never materialised in counting mode).
     """
 
 
@@ -206,45 +210,44 @@ def counting_machine(distinct_io: bool) -> CountingStreamMachine:
 def sorted_output(values: np.ndarray) -> np.ndarray | None:
     """The forced sorted result of ``values`` under the strict total order.
 
-    One composite reduction + one sort of the composites.  When the ids
-    are one contiguous run ``base + arange(n)`` (the :func:`make_values`
-    default) they are distinct, so the composites are too, and each
-    sorted composite's low 32 bits -- its id -- minus ``base`` is the
-    input row it came from: a plain ``np.sort`` yields the permutation.
-    Otherwise a default-kind ``np.argsort`` is exact whenever the
-    composites are unique, which the adjacent check then confirms.
+    :func:`~repro.exec.vectorized.forced_order` applied to one array.
     Returns ``None`` when the order is not strict -- NaN keys, or
-    duplicate (canonical key, id) composites -- in which case the
-    reference interpreter must decide (bitonic networks are not stable,
-    so equal-comparing records could legitimately land in either slot).
+    duplicate (canonical key, id) composites -- or the dtype is wrong,
+    in which case the reference interpreter must decide (and raise).
     """
     if values.dtype != VALUE_DTYPE:
         return None  # let the reference path raise its usual dtype error
-    composite = composite_keys(values)
-    if composite is None:
-        return None
-    base = contiguous_id_base(values["id"])
-    if base is not None:
-        composite.sort()
-        rows = composite.astype(np.uint32)  # the low 32 bits: the ids
-        if base:
-            rows -= np.uint32(base)
-        return values[rows]
-    order = np.argsort(composite)
-    ranked = composite[order]
-    if ranked.shape[0] > 1 and bool(np.any(ranked[1:] == ranked[:-1])):
-        return None
-    return values[order]
+    order = forced_order(values)
+    return None if order is None else values[order]
 
 
-#: Process-wide op-log memo, ``(ABiSortConfig, padded n) -> records``.  A
-#: GPU-ABiSort op log is a pure function of that pair and its records are
-#: frozen, so every replay shares one tuple.  Entries are stored whole
-#: (``setdefault`` of a finished tuple): racing threads may both drive,
-#: but no reader ever sees a partial log.
-_OPLOG_MEMO: dict[tuple[ABiSortConfig, int], tuple[StreamOpRecord, ...]] = {}
+#: A stream program: a GPU-ABiSort configuration, or a network stream
+#: function ``(values, machine) -> (out, machine)`` such as
+#: :func:`repro.baselines.bitonic_network.gpusort_stream`.
+Program = Union[ABiSortConfig, Callable]
 
-#: Process-wide modeled sort milliseconds, keyed ``(config, padded n,
+
+class OpLog(tuple):
+    """A memoized op log: its frozen records, plus ``counters``, their
+    :class:`~repro.stream.context.MachineCounters` totals (shared; read,
+    do not mutate)."""
+
+    counters: MachineCounters
+
+    def __new__(cls, records) -> OpLog:
+        log = super().__new__(cls, records)
+        log.counters = MachineCounters.of(log)
+        return log
+
+
+#: Process-wide op-log memo, ``(program, padded n) -> OpLog``.  A stream
+#: program's op log is a pure function of that pair and its records are
+#: frozen, so every replay shares one entry.  Entries are stored whole
+#: (``setdefault`` of a finished log): racing threads may both drive, but
+#: no reader ever sees a partial log.
+_OPLOG_MEMO: dict[tuple[Program, int], OpLog] = {}
+
+#: Process-wide modeled sort milliseconds, keyed ``(program, padded n,
 #: repr(gpu), mapping key)``.  ``GPUModel`` holds a dict (its kernel cycle
 #: table), so its ``repr`` -- every field, deterministic -- stands in.
 _SORT_MS_MEMO: dict[tuple, float] = {}
@@ -261,35 +264,41 @@ def _clone_record(op: StreamOpRecord) -> StreamOpRecord:
     return replace(op)
 
 
-def memo_op_log(
-    config: ABiSortConfig, n: int
-) -> tuple[StreamOpRecord, ...] | None:
-    """The op log of a length-``n`` GPU-ABiSort under ``config``, memoized.
+def memo_op_log(program: Program, n: int) -> OpLog | None:
+    """The op log of a length-``n`` run of ``program``, memoized.
 
-    A miss drives a counting-mode sorter once on placeholder input (the
-    drivers never read stream contents).  ``None`` when counting mode
-    cannot produce the log (``validate_levels``, an unprofiled kernel);
-    input errors for ``n`` itself propagate like the driver's own.
+    A miss drives ``program`` once in counting mode on placeholder input
+    (the drivers never read stream contents).  ``None`` when counting
+    mode cannot produce the log (``validate_levels``, an unprofiled
+    kernel); input errors for ``n`` itself propagate like the driver's
+    own.
     """
-    key = (config, n)
+    key = (program, n)
     log = _OPLOG_MEMO.get(key)
     if log is None:
-        if config.validate_levels:
-            return None  # the validator reads stream contents mid-sort
-        sorter = make_sorter(config, machine_factory=counting_machine)
+        placeholder = make_values(np.zeros(n, dtype=np.float32))
         try:
-            sorter.sort(make_values(np.zeros(n, dtype=np.float32)))
+            if isinstance(program, ABiSortConfig):
+                if program.validate_levels:
+                    return None  # the validator reads stream contents
+                sorter = make_sorter(program, machine_factory=counting_machine)
+                sorter.sort(placeholder)
+                machine = sorter.last_machine
+            else:
+                _out, machine = program(placeholder, counting_machine(True))
         except StreamTierUnsupported:
             return None
-        log = _OPLOG_MEMO.setdefault(key, tuple(sorter.last_machine.ops))
+        log = _OPLOG_MEMO.setdefault(key, OpLog(machine.ops))
     return log
 
 
-def replay_machine(
-    config: ABiSortConfig, log: tuple[StreamOpRecord, ...]
-) -> CountingStreamMachine:
+def replay_machine(program: Program, log: OpLog) -> CountingStreamMachine:
     """A counting machine whose op log is ``log``'s shared records."""
-    machine = CountingStreamMachine(distinct_io=config.gpu_semantics)
+    # The Section-6.1 semantics: networks always run GPU semantics.
+    distinct_io = (
+        program.gpu_semantics if isinstance(program, ABiSortConfig) else True
+    )
+    machine = CountingStreamMachine(distinct_io=distinct_io)
     machine.ops = list(log)
     return machine
 
@@ -305,88 +314,54 @@ def _mapping_key(mapping: Mapping2D) -> tuple | None:
 
 
 def memo_sort_ms(
-    config: ABiSortConfig, n: int, gpu: GPUModel, mapping: Mapping2D
+    program: Program, n: int, gpu: GPUModel, mapping: Mapping2D | None
 ) -> float | None:
     """Modeled milliseconds of a length-``n`` sort on ``gpu``, memoized.
 
-    Exactly ``estimate_gpu_time_ms(memo_op_log(config, n), gpu,
-    mapping).total_ms``; ``None`` where :func:`memo_op_log` is.
+    Exactly ``estimate_gpu_time_ms(memo_op_log(program, n), gpu,
+    mapping).total_ms``; ``mapping=None`` charges reads at the GPU's
+    fixed software-tiling efficiency instead (the networks' GPUSort B=64
+    convention).  ``None`` where :func:`memo_op_log` is.
     """
-    mkey = _mapping_key(mapping)
-    key = (config, n, repr(gpu), mkey)
+    mkey = "tiled" if mapping is None else _mapping_key(mapping)
+    key = (program, n, repr(gpu), mkey)
     ms = _SORT_MS_MEMO.get(key) if mkey is not None else None
     if ms is None:
-        log = memo_op_log(config, n)
+        log = memo_op_log(program, n)
         if log is None:
             return None
-        ms = estimate_gpu_time_ms(log, gpu, mapping).total_ms
+        if mapping is None:
+            cost = estimate_gpu_time_ms(
+                log, gpu, fixed_read_efficiency=gpu.tiled_read_efficiency
+            )
+        else:
+            cost = estimate_gpu_time_ms(log, gpu, mapping)
+        ms = cost.total_ms
         if mkey is not None:
             _SORT_MS_MEMO[key] = ms
     return ms
 
 
 def counting_sort_run(
-    sorter,
-    values: np.ndarray,
-    config: ABiSortConfig | None = None,
-) -> tuple[np.ndarray, StreamMachine] | None:
-    """Run one GPU-ABiSort driver in counting mode, output closed-form.
+    program: Program, values: np.ndarray
+) -> tuple[np.ndarray, OpLog] | None:
+    """Sort ``values`` as ``program`` would, output forced, log memoized.
 
-    ``sorter`` must be a :class:`~repro.core.abisort.GPUABiSorter` whose
-    ``machine_factory`` produces :class:`CountingStreamMachine` instances.
-    Returns ``(sorted values, machine)`` -- the machine carrying the
-    reference-identical op log -- or ``None`` when the caller must fall
-    back to a reference run (unstrict order, ``validate_levels``, or an
-    unprofiled kernel).  Input errors the reference would raise
-    (wrong dtype, non-power-of-two length, duplicate ids) propagate
-    unchanged: the counting drive performs the same ``_setup`` checks.
-
-    ``config`` (the one ``sorter`` was built from) enables the
-    process-wide op-log memo: a repeat ``(config, n)`` replays the shared
-    records onto a fresh machine instead of re-driving the sorter.  The
-    memo path re-runs the input checks the drive would have run
-    (:func:`~repro.core.values.check_unique_ids`; dtype and the
-    power-of-two rule are implied by a usable forced output and a prior
-    successful drive of that length).
-    """
-    if getattr(sorter, "validate_levels", False):
-        return None  # the validator reads stream contents mid-sort
-    out = sorted_output(values)
-    if out is None and values.dtype == VALUE_DTYPE:
-        return None
-    if config is not None and out is not None:
-        cached = _OPLOG_MEMO.get((config, values.shape[0]))
-        if cached is not None:
-            check_unique_ids(values)  # the same SortInputError as _setup
-            return out, replay_machine(config, cached)
-    try:
-        sorter.sort(values)  # drives the op log; data output is discarded
-    except StreamTierUnsupported:
-        return None
-    machine = sorter.last_machine
-    if config is not None and out is not None:
-        _OPLOG_MEMO.setdefault((config, values.shape[0]), tuple(machine.ops))
-    return out, machine
-
-
-def counting_network_run(
-    stream_sorter: Callable, values: np.ndarray
-) -> tuple[np.ndarray, StreamMachine] | None:
-    """Run one network stream program in counting mode.
-
-    ``stream_sorter`` is a ``(values, machine) -> (out, machine)`` entry
-    point such as :func:`repro.baselines.bitonic_network.gpusort_stream`.
-    Same contract as :func:`counting_sort_run`; networks do not enforce
-    unique ids themselves, so the duplicate-composite check of
-    :func:`sorted_output` is what keeps equal-comparing records on the
-    reference path.
+    Returns ``(sorted values, op log)`` -- the log reference-identical
+    to a run of ``program`` on ``values`` -- or ``None`` when the caller
+    must fall back to a reference run (unstrict order, wrong dtype,
+    ``validate_levels``, or an unprofiled kernel).  The GPU-ABiSort
+    drivers' id check runs here (repeated ids raise the driver's
+    :class:`~repro.errors.SortInputError`; contiguous ids are unique by
+    construction); networks accept repeated ids, as their drivers do.
+    Errors for the length itself propagate from the memo's drive.
     """
     out = sorted_output(values)
-    if out is None and values.dtype == VALUE_DTYPE:
+    if out is None:
         return None
-    machine = CountingStreamMachine(distinct_io=True)
-    try:
-        stream_sorter(values, machine)
-    except StreamTierUnsupported:
-        return None
-    return out, machine
+    if isinstance(program, ABiSortConfig) and (
+        contiguous_id_base(values["id"]) is None
+    ):
+        check_unique_ids(values)
+    log = memo_op_log(program, values.shape[0])
+    return None if log is None else (out, log)

@@ -5,8 +5,9 @@ own distinctness device: with unique (key, id) pairs the total order is
 *strict*, so the sorted union of sorted runs is unique -- any correct
 merge algorithm must produce the byte-for-byte reference output.  The
 implementation therefore reduces the (key, id) order to one ``uint64``
-composite per record and merges k runs as a tournament of two-way
-``np.searchsorted`` merges, O(n log k) work with no per-element Python.
+composite per record and makes a k-way merge the same forcing pass as a
+sort (:func:`forced_order`): one sort of the concatenated runs'
+composites, with no per-element Python.
 
 Composite construction (:func:`composite_keys`) uses the classic
 order-preserving float trick: reinterpret the float32 key as its IEEE
@@ -24,7 +25,7 @@ semantics force:
   them report "cannot vectorize" and the caller falls back wholesale to
   the reference tier.
 
-The same fallback triggers when the merged composites contain
+The same fallback triggers when the sorted composites contain
 duplicates (possible only when full (key, id) pairs repeat): there the
 reference output depends on the loser tree's internal structure, so the
 only way to match it bit-for-bit is to run it.  Fallbacks preserve the
@@ -36,10 +37,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.values import contiguous_id_base
 from repro.exec.backend import ExecutionBackend, ReferenceBackend
 from repro.stream.stream import VALUE_DTYPE
 
-__all__ = ["composite_keys", "merge_order", "vectorized_merge", "VectorizedBackend"]
+__all__ = ["composite_keys", "forced_order", "vectorized_merge", "VectorizedBackend"]
 
 _SIGN = np.int32(-(1 << 31))  # the sign bit, as int32
 
@@ -73,71 +75,36 @@ def composite_keys(values: np.ndarray) -> np.ndarray | None:
     return composite
 
 
-def _merge_two(
-    comp_a: np.ndarray,
-    gather_a: np.ndarray,
-    comp_b: np.ndarray,
-    gather_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two sorted composite sequences, carrying gather indices.
+def forced_order(values: np.ndarray) -> np.ndarray | None:
+    """The one permutation that sorts ``values`` under the strict order.
 
-    Each ``b`` element lands after the ``a`` elements ≤ it
-    (``searchsorted(..., side="right")``) plus the ``b`` elements before
-    it -- a strictly increasing position vector, so a boolean scatter
-    interleaves both sides in one vectorized pass.
+    Builds the composites, sorts them, and decides whether the order is
+    strict: returns ``None`` on NaN keys or duplicate (canonical key, id)
+    composites, where the reference implementation must decide (a loser
+    tree or a bitonic network may place equal-comparing records either
+    way).  When the ids are one contiguous run ``base + arange(n)`` (the
+    :func:`~repro.core.values.make_values` default) they are distinct,
+    so the composites are too, and each sorted composite's low 32 bits
+    -- its id -- minus ``base`` is the row it came from: a plain
+    ``np.sort`` yields the permutation.  Otherwise a default-kind
+    ``np.argsort`` is exact whenever the composites are unique, which
+    the adjacent check then confirms.
     """
-    positions = np.searchsorted(comp_a, comp_b, side="right")
-    positions = positions + np.arange(comp_b.shape[0], dtype=np.int64)
-    total = comp_a.shape[0] + comp_b.shape[0]
-    comp = np.empty(total, dtype=np.uint64)
-    gather = np.empty(total, dtype=np.int64)
-    from_b = np.zeros(total, dtype=bool)
-    from_b[positions] = True
-    comp[from_b] = comp_b
-    comp[~from_b] = comp_a
-    gather[from_b] = gather_b
-    gather[~from_b] = gather_a
-    return comp, gather
-
-
-def merge_order(runs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The merge permutation of ``runs`` (each sorted, each non-empty).
-
-    Returns ``(gather, provenance)`` where ``gather`` indexes the
-    concatenation of ``runs`` in merged order and ``provenance[i]`` is
-    the run index that produced output element ``i`` -- or ``None`` when
-    the input cannot be vectorized faithfully (NaN keys, or duplicate
-    (key, id) pairs whose relative order is a loser-tree implementation
-    detail).
-    """
-    composites: list[np.ndarray] = []
-    for run in runs:
-        composite = composite_keys(run)
-        if composite is None:
-            return None
-        composites.append(composite)
-    lengths = [run.shape[0] for run in runs]
-    starts = np.concatenate(([0], np.cumsum(lengths[:-1]))).astype(np.int64)
-
-    # Pairwise tournament: log2 k rounds of two-way vectorized merges.
-    items = [
-        (composites[r], np.arange(starts[r], starts[r] + lengths[r], dtype=np.int64))
-        for r in range(len(runs))
-    ]
-    while len(items) > 1:
-        merged: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(0, len(items) - 1, 2):
-            comp_a, gather_a = items[i]
-            comp_b, gather_b = items[i + 1]
-            merged.append(_merge_two(comp_a, gather_a, comp_b, gather_b))
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    composite, gather = items[0]
-    if composite.shape[0] > 1 and bool(np.any(composite[1:] == composite[:-1])):
-        return None  # full (key, id) duplicates: tree order is not ours to guess
-    provenance = np.searchsorted(starts, gather, side="right") - 1
-    return gather, provenance
+    composite = composite_keys(values)
+    if composite is None:
+        return None
+    base = contiguous_id_base(values["id"])
+    if base is not None:
+        composite.sort()
+        rows = composite.astype(np.uint32)  # the low 32 bits: the ids
+        if base:
+            rows -= np.uint32(base)
+        return rows
+    order = np.argsort(composite)
+    ranked = composite[order]
+    if ranked.shape[0] > 1 and bool(np.any(ranked[1:] == ranked[:-1])):
+        return None
+    return order
 
 
 def vectorized_merge(
@@ -145,17 +112,20 @@ def vectorized_merge(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Merge sorted non-empty runs into ``(merged, provenance)``.
 
-    ``merged`` is bit-identical to the reference loser-tree merge;
+    Under the strict order the merge of the runs is the sorted
+    concatenation, so one :func:`forced_order` pass over it yields
+    ``merged``, bit-identical to the reference loser-tree merge.
     ``provenance`` names the source run of every output element (what
     the out-of-core pipeline needs to replay the reference disk access
     pattern).  Returns ``None`` when the caller must fall back.
     """
-    order = merge_order(runs)
+    concatenated = np.concatenate(runs)
+    order = forced_order(concatenated)
     if order is None:
         return None
-    gather, provenance = order
-    merged = np.concatenate(runs)[gather]
-    return merged, provenance
+    starts = np.cumsum([run.shape[0] for run in runs[:-1]])
+    provenance = np.searchsorted(starts, order, side="right")
+    return concatenated[order], provenance
 
 
 class VectorizedBackend(ExecutionBackend):

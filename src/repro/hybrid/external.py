@@ -237,8 +237,7 @@ class ExternalSorter:
     ) -> list[str]:
         from repro.workloads.records import pad_to_power_of_two
 
-        from repro.core.values import check_unique_ids
-        from repro.exec.stream_tier import memo_sort_ms, sorted_output
+        from repro.exec.stream_tier import counting_sort_run, memo_sort_ms
 
         fast = self._tier() == "vectorized"
         run_names: list[str] = []
@@ -248,19 +247,16 @@ class ExternalSorter:
             chunk = disk.read(input_name, offset, self.chunk_size)
             if chunk.shape[0] >= 2:
                 padded, orig = pad_to_power_of_two(chunk)
-                sorted_full = chunk_ms = None
-                if fast:
+                forced = counting_sort_run(self.config, padded) if fast else None
+                if forced is not None:
                     # The output is forced under the strict total order and
                     # the modeled time depends only on the padded length
-                    # (memoized process-wide); the uniqueness check mirrors
-                    # the sorter's own.
-                    sorted_full = sorted_output(padded)
-                    if sorted_full is not None:
-                        check_unique_ids(padded)
-                        chunk_ms = memo_sort_ms(
-                            self.config, padded.shape[0], self.gpu, self.mapping
-                        )
-                if chunk_ms is None:
+                    # (memoized process-wide).
+                    sorted_full = forced[0]
+                    chunk_ms = memo_sort_ms(
+                        self.config, padded.shape[0], self.gpu, self.mapping
+                    )
+                else:
                     sorter = make_sorter(self.config)
                     sorted_full = sorter.sort(padded)
                     chunk_ms = estimate_gpu_time_ms(

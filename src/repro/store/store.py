@@ -71,6 +71,25 @@ from repro.stream.gpu_model import (
 __all__ = ["StoreConfig", "StoreStats", "SortedStore"]
 
 
+def _float32_bounds(lo: float, hi: float) -> tuple[np.float32, np.float32]:
+    """``[lo, hi]`` rounded outward to float32: the least float32 ``>= lo``
+    and the greatest ``<= hi``.
+
+    For every float32 key ``x``, ``x < lo`` iff ``x < lo32`` and
+    ``x <= hi`` iff ``x <= hi32``, so a cached run searched with these
+    bounds answers exactly like the float64 comparisons of
+    :func:`~repro.store.runs.bisect_run` -- without ``searchsorted``
+    promoting the whole key column to float64 on every call.
+    """
+    with np.errstate(over="ignore"):  # beyond float32 range -> +-inf
+        lo32, hi32 = np.float32(lo), np.float32(hi)
+    if float(lo32) < lo:
+        lo32 = np.nextafter(lo32, np.float32(np.inf))
+    if float(hi32) > hi:
+        hi32 = np.nextafter(hi32, np.float32(-np.inf))
+    return lo32, hi32
+
+
 @dataclass
 class StoreConfig:
     """Tuning knobs of one :class:`SortedStore` (see ``docs/store.md``).
@@ -306,6 +325,7 @@ class SortedStore:
         lo, hi = float(lo), float(hi)
         if np.isnan(lo) or np.isnan(hi) or lo > hi:
             raise SortInputError(f"bad range [{lo}, {hi}]")
+        lo32, hi32 = _float32_bounds(lo, hi)
         with self._lock:
             read0 = self.disk.bytes_read
             slices = []
@@ -316,8 +336,8 @@ class SortedStore:
                 if cached is not None:
                     self._cache.move_to_end(meta.name)
                     self._stats.cache_hits += 1
-                    start = int(np.searchsorted(cached["key"], lo, side="left"))
-                    stop = int(np.searchsorted(cached["key"], hi, side="right"))
+                    start = int(np.searchsorted(cached["key"], lo32, side="left"))
+                    stop = int(np.searchsorted(cached["key"], hi32, side="right"))
                     if stop > start:
                         slices.append(cached[start:stop])
                     continue

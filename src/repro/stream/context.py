@@ -43,8 +43,8 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, fields
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -112,6 +112,33 @@ class MachineCounters:
     def total_bytes(self) -> int:
         """All bytes moved across the logged operations."""
         return self.linear_read_bytes + self.linear_write_bytes + self.gather_bytes
+
+    @classmethod
+    def of(cls, ops: Iterable[StreamOpRecord]) -> MachineCounters:
+        """Aggregate an operation log into one counter record."""
+        agg = cls()
+        for op in ops:
+            agg.stream_ops += 1
+            if op.kind == "kernel":
+                agg.kernel_ops += 1
+            else:
+                agg.copy_ops += 1
+            agg.instances += op.instances
+            agg.linear_read_bytes += op.linear_read_bytes
+            agg.linear_write_bytes += op.linear_write_bytes
+            agg.gather_elems += op.gather_elems
+            agg.gather_bytes += op.gather_bytes
+        return agg
+
+    def __add__(self, other: MachineCounters) -> MachineCounters:
+        """Field-wise sum: the counters of two op logs taken together
+        (so ``sum(parts, MachineCounters())`` totals many)."""
+        return MachineCounters(
+            **{
+                f.name: getattr(self, f.name) + getattr(other, f.name)
+                for f in fields(self)
+            }
+        )
 
 
 class StreamMachine:
@@ -448,19 +475,7 @@ class StreamMachine:
 
     def counters(self) -> MachineCounters:
         """Aggregate the operation log into one counter record."""
-        agg = MachineCounters()
-        for op in self.ops:
-            agg.stream_ops += 1
-            if op.kind == "kernel":
-                agg.kernel_ops += 1
-            else:
-                agg.copy_ops += 1
-            agg.instances += op.instances
-            agg.linear_read_bytes += op.linear_read_bytes
-            agg.linear_write_bytes += op.linear_write_bytes
-            agg.gather_elems += op.gather_elems
-            agg.gather_bytes += op.gather_bytes
-        return agg
+        return MachineCounters.of(self.ops)
 
     def ops_by_tag(self) -> dict[str, list[StreamOpRecord]]:
         """Group the op log by tag (algorithm phase labels)."""

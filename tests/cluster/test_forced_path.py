@@ -154,13 +154,25 @@ class TestFallbacksAndInputContract:
         _assert_identical(_sort(values, 2, "reference"), _sort(values, 2, "vectorized"))
 
 
+#: (engine, warm request length, engine options): the sharded sort at
+#: the perfbench size, and the single-device ABiSort and network engines.
+WARM_ENGINES = [
+    ("sharded-abisort", 1 << 20, {"devices": 8}),
+    ("abisort", 1 << 16, {}),
+    ("bitonic-network", 1 << 14, {}),
+]
+
+
 class TestMemoizedTelemetry:
-    def test_second_large_request_drives_and_models_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("engine,n,options", WARM_ENGINES)
+    def test_second_large_request_drives_and_models_nothing(
+        self, monkeypatch, engine, n, options
+    ):
         rng = seeded_rng(10)
         request = lambda: repro.SortRequest(  # noqa: E731
-            keys=rng.random(1 << 20, dtype=np.float32), exec_tier="vectorized"
+            keys=rng.random(n, dtype=np.float32), exec_tier="vectorized"
         )
-        first = repro.sort(request(), engine="sharded-abisort", devices=8)
+        first = repro.sort(request(), engine=engine, **options)
         drives, models = [], []
         kernel = stream_tier.CountingStreamMachine._execute_kernel
         model = stream_tier.estimate_gpu_time_ms
@@ -180,12 +192,53 @@ class TestMemoizedTelemetry:
         monkeypatch.setattr(
             "repro.cluster.sharded.estimate_gpu_time_ms", counted_model
         )
-        second = repro.sort(request(), engine="sharded-abisort", devices=8)
+        monkeypatch.setattr(
+            "repro.engines.adapters.estimate_gpu_time_ms", counted_model
+        )
+        second = repro.sort(request(), engine=engine, **options)
         assert drives == [] and models == []
         assert second.telemetry.modeled_gpu_ms == first.telemetry.modeled_gpu_ms
         assert second.telemetry.stream_ops == first.telemetry.stream_ops
         order = np.lexsort((second.ids, second.keys))
-        assert np.array_equal(order, np.arange(1 << 20))
+        assert np.array_equal(order, np.arange(n))
+
+    @pytest.mark.parametrize(
+        "engine,options", [(engine, options) for engine, _, options in WARM_ENGINES]
+    )
+    def test_mutating_a_result_leaves_the_memo_intact(self, engine, options):
+        """Results share the memo's frozen records, never its mutable
+        parts: editing one result's telemetry or op-log lists must not
+        reach the next same-size request."""
+        keys = seeded_rng(14).random(1 << 12, dtype=np.float32)
+        request = lambda: repro.SortRequest(  # noqa: E731
+            keys=keys, exec_tier="vectorized"
+        )
+        first = repro.sort(request(), engine=engine, **options)
+        expected = dataclasses.replace(first.telemetry, wall_time_s=0.0)
+        for field in dataclasses.fields(first.telemetry):
+            value = getattr(first.telemetry, field.name)
+            if isinstance(value, (int, float)):
+                setattr(first.telemetry, field.name, value + 1)
+        machines = [first.machine] if first.machine is not None else [
+            machine for device in first.cluster.devices
+            for machine in device.machines
+        ]
+        assert machines
+        for machine in machines:
+            machine.ops.clear()
+            machine.ops.append(None)
+        if first.cluster is not None:
+            first.cluster.counters.stream_ops += 1000
+        second = repro.sort(request(), engine=engine, **options)
+        assert dataclasses.replace(second.telemetry, wall_time_s=0.0) == expected
+        reference = repro.sort(
+            repro.SortRequest(keys=keys, exec_tier="reference"),
+            engine=engine,
+            **options,
+        )
+        assert (
+            dataclasses.replace(reference.telemetry, wall_time_s=0.0) == expected
+        )
 
     @pytest.mark.parametrize("gpu", [GEFORCE_7800_GTX, GEFORCE_6800_ULTRA])
     @pytest.mark.parametrize(

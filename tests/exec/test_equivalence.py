@@ -55,7 +55,7 @@ def _assert_merge_identical(runs: list[np.ndarray]) -> None:
 
 
 class TestMergeEquivalence:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 32])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 32, 64])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_uniform_random(self, k, seed):
         rng = seeded_rng(seed)

@@ -9,6 +9,8 @@ directory.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,32 @@ class TestBitIdentity:
         # the cold store paid real (modeled) disk traffic for its answers
         assert cold.stats.query_read_bytes > 0
         assert cached.stats.query_read_bytes == 0
+
+    def test_cached_probe_rounds_float64_bounds_like_the_disk_bisect(
+        self, tmp_path
+    ):
+        keys = np.float32(
+            [-np.inf, -3e38, -1.5, -0.0, 0.0, 1e-45, 0.1, 0.1, 0.3, 2.5,
+             3e38, np.inf]
+        )
+        cached = SortedStore(tmp_path / "a", engine="cpu-std")
+        cold = SortedStore(tmp_path / "b", engine="cpu-std", cache_pairs=0)
+        for store in (cached, cold):
+            store.insert(keys)
+        finite = np.unique(keys[np.isfinite(keys)]).astype(np.float64)
+        between = list((finite[:-1] + finite[1:]) / 2)  # strictly inside gaps
+        between += list(np.nextafter(finite, np.inf))  # one float64 ulp off
+        between += list(np.nextafter(finite, -np.inf))
+        bounds = [(lo, hi) for lo in between for hi in between if lo <= hi]
+        bounds += [(x, x) for x in between + list(finite)]
+        bounds += [(-1e39, 1e39), (1e39, 1e39), (-1e39, -1e39),
+                   (-1e39, 0.1), (0.1, 1e39), (-np.inf, np.inf)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no float32 overflow escapes
+            for lo, hi in bounds:
+                got = cached.range(lo, hi)
+                assert got.tobytes() == cold.range(lo, hi).tobytes(), (lo, hi)
+        assert cached.stats.cache_hits > 0 and cold.stats.cache_hits == 0
 
     def test_duplicate_keys_keep_ingest_order_ids(self, tmp_path):
         store = SortedStore(tmp_path, engine="cpu-std")
